@@ -28,6 +28,9 @@ pub struct StepReport {
     pub accepted: Vec<FileId>,
     /// Files rejected (no feasible service even alone).
     pub rejected: Vec<FileId>,
+    /// Files a hard scheduler error left undecided (see
+    /// [`Admission::undecided`]); empty on a clean step.
+    pub undecided: Vec<FileId>,
     /// The provider's bill per slot (Σ a_ij · X_ij) after this step.
     pub cost_per_slot: f64,
 }
@@ -205,12 +208,15 @@ impl<S: Scheduler> OnlineController<S> {
     }
 
     /// Schedules the batch of files released at `slot` and commits the
-    /// decision.
+    /// decision (see [`admit`] for the admission rule).
     ///
     /// # Errors
     ///
-    /// Propagates non-[`PostcardError::Infeasible`] scheduler errors
-    /// (infeasibility is handled by per-file admission instead).
+    /// Returns the first non-[`PostcardError::Infeasible`] scheduler error
+    /// (infeasibility is handled by per-file admission instead). The slot
+    /// still counts: files decided before the error stay committed and
+    /// counted, and the cost history gains this slot's entry. Callers that
+    /// retry the undecided files use [`OnlineController::admit_slot`].
     ///
     /// # Panics
     ///
@@ -221,60 +227,36 @@ impl<S: Scheduler> OnlineController<S> {
         slot: u64,
         files: &[TransferRequest],
     ) -> Result<StepReport, PostcardError> {
+        match self.admit_slot(slot, files) {
+            (report, None) => Ok(report),
+            (_, Some(e)) => Err(e),
+        }
+    }
+
+    /// [`OnlineController::step`] that hands back the report on a hard
+    /// scheduler error as well: the error comes second, and
+    /// [`StepReport::undecided`] lists the files it left undecided.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a file's release slot differs from `slot`.
+    pub fn admit_slot(
+        &mut self,
+        slot: u64,
+        files: &[TransferRequest],
+    ) -> (StepReport, Option<PostcardError>) {
         for f in files {
             assert_eq!(f.release_slot, slot, "batch must contain only slot-{slot} releases");
         }
-        let mut accepted = Vec::new();
-        let mut rejected = Vec::new();
-
-        match self.scheduler.schedule(&self.network, files, &self.ledger) {
-            Ok(decision) => {
-                self.commit(&decision, files);
-                if self.keep_decisions {
-                    self.decisions.push((slot, decision));
+        let keep = self.keep_decisions;
+        let decisions = &mut self.decisions;
+        let admission =
+            admit(&mut self.scheduler, &self.network, files, &mut self.ledger, |_, decision| {
+                if keep {
+                    decisions.push((slot, decision));
                 }
-                accepted.extend(files.iter().map(|f| f.id));
-            }
-            Err(PostcardError::Infeasible) => {
-                // Per-file admission in arrival order.
-                for f in files {
-                    let batch = [*f];
-                    match self.scheduler.schedule(&self.network, &batch, &self.ledger) {
-                        Ok(decision) => {
-                            self.commit(&decision, &batch);
-                            if self.keep_decisions {
-                                self.decisions.push((slot, decision));
-                            }
-                            accepted.push(f.id);
-                        }
-                        Err(PostcardError::Infeasible) => rejected.push(f.id),
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
-
-        self.total_accepted += accepted.len();
-        self.total_rejected += rejected.len();
-        // `accepted` is a subsequence of `files` in arrival order in both
-        // paths above (the batch path takes every id, the per-file path
-        // pushes while iterating `files`), so a single positional cursor
-        // replaces the per-file `accepted.contains(..)` linear scan that
-        // made this loop O(batch²) on the 10³–10⁵-request batches the ALAP
-        // path admits — and it keeps the float accumulation order identical.
-        let mut cursor = 0;
-        for f in files {
-            if accepted.get(cursor) == Some(&f.id) {
-                cursor += 1;
-                self.accepted_volume += f.size_gb;
-            } else {
-                self.rejected_volume += f.size_gb;
-            }
-        }
-        let cost = self.ledger.cost_per_slot_scheme(&self.network, self.charging);
-        self.cost_history.push(cost);
-        Ok(StepReport { slot, accepted, rejected, cost_per_slot: cost })
+            });
+        self.close_slot(slot, admission)
     }
 
     /// Commits externally reconciled per-shard decisions as this slot's
@@ -296,54 +278,130 @@ impl<S: Scheduler> OnlineController<S> {
         &mut self,
         slot: u64,
         commits: &[(Vec<TransferRequest>, Decision)],
-        accepted: Vec<FileId>,
-        rejected: Vec<FileId>,
-        accepted_volume: f64,
-        rejected_volume: f64,
+        admission: Admission,
     ) -> StepReport {
         for (files, decision) in commits {
-            self.commit(decision, files);
+            commit(&self.network, &mut self.ledger, files, decision, self.scheduler.name());
             if self.keep_decisions {
                 self.decisions.push((slot, decision.clone()));
             }
         }
-        self.total_accepted += accepted.len();
-        self.total_rejected += rejected.len();
-        self.accepted_volume += accepted_volume;
-        self.rejected_volume += rejected_volume;
-        let cost = self.ledger.cost_per_slot_scheme(&self.network, self.charging);
-        self.cost_history.push(cost);
-        StepReport { slot, accepted, rejected, cost_per_slot: cost }
+        self.close_slot(slot, admission).0
     }
 
-    fn commit(&mut self, decision: &Decision, files: &[TransferRequest]) {
-        match decision {
-            Decision::Plan(plan) => {
-                debug_assert!(
-                    {
-                        let ledger = &self.ledger;
-                        let network = &self.network;
-                        plan.validate(network, files, |i, j, s| ledger.volume(i, j, s)).is_empty()
-                    },
-                    "scheduler {} produced an invalid plan",
-                    self.scheduler.name()
-                );
-                plan.apply_to_ledger(&mut self.ledger);
-            }
-            Decision::Rates(rates) => {
-                debug_assert!(
-                    {
-                        let ledger = &self.ledger;
-                        let network = &self.network;
-                        rates.validate(network, files, |i, j, s| ledger.volume(i, j, s)).is_empty()
-                    },
-                    "scheduler {} produced an invalid assignment",
-                    self.scheduler.name()
-                );
-                rates.apply_to_ledger(files, &mut self.ledger);
-            }
-        }
+    /// The admission and cost accounting every slot ends with.
+    fn close_slot(
+        &mut self,
+        slot: u64,
+        admission: Admission,
+    ) -> (StepReport, Option<PostcardError>) {
+        self.total_accepted += admission.accepted.len();
+        self.total_rejected += admission.rejected.len();
+        self.accepted_volume += admission.accepted_volume;
+        self.rejected_volume += admission.rejected_volume;
+        let cost = self.ledger.cost_per_slot_scheme(&self.network, self.charging);
+        self.cost_history.push(cost);
+        let report = StepReport {
+            slot,
+            accepted: admission.accepted,
+            rejected: admission.rejected,
+            undecided: admission.undecided,
+            cost_per_slot: cost,
+        };
+        (report, admission.failure)
     }
+}
+
+/// One batch's admission verdicts (see [`admit`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Admission {
+    /// Files admitted and committed, in arrival order.
+    pub accepted: Vec<FileId>,
+    /// Files rejected (infeasible even alone), in arrival order.
+    pub rejected: Vec<FileId>,
+    /// Volume of `accepted` in GB, summed in arrival order.
+    pub accepted_volume: f64,
+    /// Volume of `rejected` in GB, summed in arrival order.
+    pub rejected_volume: f64,
+    /// Files a hard scheduler error left undecided, in arrival order: the
+    /// file whose solve failed and every file after it, or the whole batch
+    /// when the whole-batch solve failed. Empty unless `failure` is set.
+    pub undecided: Vec<FileId>,
+    /// The first non-[`PostcardError::Infeasible`] scheduler error.
+    pub failure: Option<PostcardError>,
+}
+
+/// Admits one slot's batch against `ledger`: the whole batch first, and if
+/// that is [`PostcardError::Infeasible`], each file alone in arrival order,
+/// so only files that fit nowhere are rejected. Every committed decision is
+/// applied to `ledger` (later files see earlier files' traffic) and handed
+/// to `on_commit` with the files it serves.
+///
+/// A hard scheduler error stops admission without undoing anything: files
+/// decided before it stay decided (accepted files stay in `ledger`), and
+/// the rest are reported [`Admission::undecided`] for the caller to retry.
+pub fn admit<S: Scheduler + ?Sized>(
+    scheduler: &mut S,
+    network: &Network,
+    files: &[TransferRequest],
+    ledger: &mut TrafficLedger,
+    mut on_commit: impl FnMut(&[TransferRequest], Decision),
+) -> Admission {
+    let mut out = Admission::default();
+    let undecided = match scheduler.schedule(network, files, ledger) {
+        Ok(decision) => {
+            commit(network, ledger, files, &decision, scheduler.name());
+            out.accepted.extend(files.iter().map(|f| f.id));
+            out.accepted_volume = files.iter().map(|f| f.size_gb).sum();
+            on_commit(files, decision);
+            return out;
+        }
+        Err(PostcardError::Infeasible) => {
+            let mut undecided = None;
+            for (k, f) in files.iter().enumerate() {
+                let single = std::slice::from_ref(f);
+                match scheduler.schedule(network, single, ledger) {
+                    Ok(decision) => {
+                        commit(network, ledger, single, &decision, scheduler.name());
+                        out.accepted.push(f.id);
+                        out.accepted_volume += f.size_gb;
+                        on_commit(single, decision);
+                    }
+                    Err(PostcardError::Infeasible) => {
+                        out.rejected.push(f.id);
+                        out.rejected_volume += f.size_gb;
+                    }
+                    Err(e) => {
+                        undecided = Some((k, e));
+                        break;
+                    }
+                }
+            }
+            undecided
+        }
+        Err(e) => Some((0, e)),
+    };
+    if let Some((first, e)) = undecided {
+        out.undecided = files[first..].iter().map(|f| f.id).collect();
+        out.failure = Some(e);
+    }
+    out
+}
+
+/// Applies a scheduler's decision to `ledger`, debug-checking that it fits
+/// the capacity the ledger leaves.
+fn commit(
+    network: &Network,
+    ledger: &mut TrafficLedger,
+    files: &[TransferRequest],
+    decision: &Decision,
+    scheduler: &str,
+) {
+    debug_assert!(
+        decision.is_valid(network, files, ledger),
+        "scheduler {scheduler} produced an invalid decision"
+    );
+    decision.apply_to_ledger(files, ledger);
 }
 
 #[cfg(test)]
@@ -480,12 +538,66 @@ mod tests {
         let mut scheduler = PostcardScheduler::new();
         let decision = scheduler.schedule(&net(), &[f], &TrafficLedger::new(3)).expect("feasible");
         let mut merged = OnlineController::new(net(), PostcardScheduler::new());
-        let merged_report =
-            merged.commit_reconciled(0, &[(vec![f], decision)], vec![f.id], vec![], f.size_gb, 0.0);
+        let admission =
+            Admission { accepted: vec![f.id], accepted_volume: f.size_gb, ..Default::default() };
+        let merged_report = merged.commit_reconciled(0, &[(vec![f], decision)], admission);
 
         assert_eq!(merged_report.accepted, report.accepted);
         assert_eq!(merged_report.cost_per_slot.to_bits(), report.cost_per_slot.to_bits());
         assert_eq!(merged.export_state(), stepped.export_state());
+    }
+
+    /// Direct sending, except that batches of several files are reported
+    /// infeasible and file 2 hits a hard solver error.
+    struct FailsOnFileTwo;
+
+    impl Scheduler for FailsOnFileTwo {
+        fn name(&self) -> &'static str {
+            "fails-on-file-two"
+        }
+
+        fn schedule(
+            &mut self,
+            network: &Network,
+            files: &[TransferRequest],
+            ledger: &TrafficLedger,
+        ) -> Result<Decision, PostcardError> {
+            match files {
+                [f] if f.id == FileId(2) => {
+                    Err(PostcardError::UnknownDatacenter { dc: 7, num_dcs: 3 })
+                }
+                [_] => DirectScheduler.schedule(network, files, ledger),
+                _ => Err(PostcardError::Infeasible),
+            }
+        }
+    }
+
+    #[test]
+    fn hard_failure_mid_admission_keeps_decided_files() {
+        // The batch is infeasible, file 1 fits alone, file 2 fails hard,
+        // file 3 is never tried. File 1's traffic stays on the ledger, so it
+        // must stay counted and the slot must get its one cost entry.
+        let batch = [
+            TransferRequest::new(FileId(1), d(1), d(2), 2.0, 1, 0),
+            TransferRequest::new(FileId(2), d(1), d(2), 2.0, 1, 0),
+            TransferRequest::new(FileId(3), d(1), d(2), 2.0, 1, 0),
+        ];
+        let mut ctl = OnlineController::new(net(), FailsOnFileTwo);
+        assert_eq!(
+            ctl.step(0, &batch).unwrap_err(),
+            PostcardError::UnknownDatacenter { dc: 7, num_dcs: 3 }
+        );
+        assert_eq!(ctl.ledger().volume(d(1), d(2), 0), 2.0);
+        assert_eq!(ctl.admission_counts(), (1, 0));
+        assert_eq!(ctl.admission_volumes(), (2.0, 0.0));
+        assert_eq!(ctl.cost_history(), &[20.0]);
+
+        let mut ctl = OnlineController::new(net(), FailsOnFileTwo);
+        let (report, failure) = ctl.admit_slot(0, &batch);
+        assert!(failure.is_some());
+        assert_eq!(report.accepted, vec![FileId(1)]);
+        assert!(report.rejected.is_empty());
+        assert_eq!(report.undecided, vec![FileId(2), FileId(3)]);
     }
 
     #[test]

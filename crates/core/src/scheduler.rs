@@ -24,6 +24,32 @@ pub enum Decision {
     Rates(FlowAssignment),
 }
 
+impl Decision {
+    /// Adds the traffic this decision commits for `files` to `ledger`.
+    pub fn apply_to_ledger(&self, files: &[TransferRequest], ledger: &mut TrafficLedger) {
+        match self {
+            Decision::Plan(plan) => plan.apply_to_ledger(ledger),
+            Decision::Rates(rates) => rates.apply_to_ledger(files, ledger),
+        }
+    }
+
+    /// Whether the decision fully serves `files` within the capacity left
+    /// over by `ledger` (the paper's Eq. 7–10 for plans, their rate
+    /// analogue for flow assignments).
+    pub(crate) fn is_valid(
+        &self,
+        network: &Network,
+        files: &[TransferRequest],
+        ledger: &TrafficLedger,
+    ) -> bool {
+        let committed = |i, j, s| ledger.volume(i, j, s);
+        match self {
+            Decision::Plan(plan) => plan.is_valid(network, files, committed),
+            Decision::Rates(rates) => rates.is_valid(network, files, committed),
+        }
+    }
+}
+
 /// Solver-side effort counters for the most recent [`Scheduler::schedule`]
 /// call, surfaced so service runtimes can export them as metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -33,12 +33,13 @@
 //! grid from the committed ledger ([`FallbackChain::mark_alap_dirty`]).
 
 use crate::clock::Clock;
+use crate::runtime::RuntimeConfig;
 use postcard_core::{
     Decision, FlowLpScheduler, GreedyScheduler, HeadroomScheduler, PostcardConfig, PostcardError,
     PostcardScheduler, Scheduler, SolveStats,
 };
 use postcard_flow::AlapScheduler;
-use postcard_net::{ChargingScheme, Network, TrafficLedger, TransferPlan, TransferRequest};
+use postcard_net::{Network, TrafficLedger, TransferPlan, TransferRequest};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -71,58 +72,36 @@ impl TierKind {
         }
     }
 
-    /// Builds the tier's scheduler (cold solves).
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        self.build_with(false)
-    }
-
-    /// Builds the tier's scheduler, enabling cross-slot simplex warm starts
-    /// on the LP tiers when `warm_start` is set (combinatorial tiers ignore
-    /// the flag).
-    pub fn build_with(&self, warm_start: bool) -> Box<dyn Scheduler> {
-        self.build_with_options(warm_start, false)
-    }
-
-    /// Builds the tier's scheduler with the full option set: `warm_start`
-    /// as in [`TierKind::build_with`], plus `incremental`, which puts the
-    /// Postcard tier on the standing delta formulation (slot-over-slot
-    /// model advance + dual-simplex re-solve). Other tiers ignore
-    /// `incremental`.
-    pub fn build_with_options(&self, warm_start: bool, incremental: bool) -> Box<dyn Scheduler> {
-        self.build_with_charging(warm_start, incremental, ChargingScheme::MaxPerSlot)
-    }
-
-    /// [`TierKind::build_with_options`], additionally supplying the run's
-    /// charging scheme — required by the [`TierKind::Headroom`] rung, which
-    /// places traffic against the scheme's billing windows. Other tiers
-    /// ignore it.
+    /// Builds the tier's scheduler with the run's solver options: the LP
+    /// tiers warm-start under `warm_start`, the Postcard tier keeps a
+    /// standing delta formulation under `incremental`, and the
+    /// [`TierKind::Headroom`] rung places traffic against the billing
+    /// windows of `charging`. Each tier ignores the options it has no use
+    /// for.
     ///
     /// # Panics
     ///
     /// Panics when building [`TierKind::Headroom`] under a scheme with no
-    /// free slots (notably [`ChargingScheme::MaxPerSlot`]) — runtime config
-    /// validation rejects that combination before it gets here.
-    pub fn build_with_charging(
-        &self,
-        warm_start: bool,
-        incremental: bool,
-        charging: ChargingScheme,
-    ) -> Box<dyn Scheduler> {
-        match self {
-            TierKind::Headroom => Box::new(HeadroomScheduler::new(charging)),
-            TierKind::Alap => Box::new(AlapTier::new()),
+    /// free slots (notably [`postcard_net::ChargingScheme::MaxPerSlot`]) —
+    /// runtime config validation rejects that combination before it gets
+    /// here.
+    fn build(self, config: &RuntimeConfig) -> TierScheduler {
+        let dyn_tier: Box<dyn Scheduler> = match self {
+            TierKind::Alap => return TierScheduler::Alap(AlapTier::new()),
+            TierKind::Headroom => Box::new(HeadroomScheduler::new(config.charging)),
             TierKind::Postcard => Box::new(PostcardScheduler::with_config(PostcardConfig {
-                warm_start,
-                incremental,
+                warm_start: config.warm_start,
+                incremental: config.incremental,
                 ..PostcardConfig::default()
             })),
             TierKind::FlowLp => {
                 let mut s = FlowLpScheduler::new();
-                s.warm_start = warm_start;
+                s.warm_start = config.warm_start;
                 Box::new(s)
             }
             TierKind::Greedy => Box::new(GreedyScheduler),
-        }
+        };
+        TierScheduler::Dyn(dyn_tier)
     }
 
     /// The default chain, strongest first.
@@ -321,90 +300,25 @@ impl std::fmt::Debug for FallbackChain {
 }
 
 impl FallbackChain {
-    /// Builds a chain over `tiers` (in fallback order) with a per-slot
-    /// solve budget measured by `clock`.
+    /// Builds the chain a run's config describes: `config.tiers` in
+    /// fallback order, each built with the config's solver options (see
+    /// [`TierKind::build`]), under a per-slot budget of
+    /// `config.slot_budget_us` measured by a fresh `config.clock`.
     ///
     /// # Panics
     ///
-    /// Panics if `tiers` is empty.
-    pub fn new(tiers: &[TierKind], slot_budget: Duration, clock: Box<dyn Clock>) -> Self {
-        Self::with_warm_start(tiers, slot_budget, clock, false)
-    }
-
-    /// [`FallbackChain::new`], with cross-slot warm starts enabled on the LP
-    /// tiers when `warm_start` is set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiers` is empty.
-    pub fn with_warm_start(
-        tiers: &[TierKind],
-        slot_budget: Duration,
-        clock: Box<dyn Clock>,
-        warm_start: bool,
-    ) -> Self {
-        Self::with_options(tiers, slot_budget, clock, warm_start, false)
-    }
-
-    /// [`FallbackChain::new`] with the full option set: `warm_start` as in
-    /// [`FallbackChain::with_warm_start`], and `incremental` to put the
-    /// Postcard tier on the standing delta formulation (see
-    /// [`TierKind::build_with_options`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiers` is empty.
-    pub fn with_options(
-        tiers: &[TierKind],
-        slot_budget: Duration,
-        clock: Box<dyn Clock>,
-        warm_start: bool,
-        incremental: bool,
-    ) -> Self {
-        Self::with_charging(
-            tiers,
-            slot_budget,
-            clock,
-            warm_start,
-            incremental,
-            ChargingScheme::MaxPerSlot,
-        )
-    }
-
-    /// [`FallbackChain::with_options`], additionally supplying the run's
-    /// [`ChargingScheme`] — required when `tiers` contains the
-    /// [`TierKind::Headroom`] rung (see [`TierKind::build_with_charging`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiers` is empty, or contains [`TierKind::Headroom`] while
-    /// `charging` has no free slots.
-    pub fn with_charging(
-        tiers: &[TierKind],
-        slot_budget: Duration,
-        clock: Box<dyn Clock>,
-        warm_start: bool,
-        incremental: bool,
-        charging: ChargingScheme,
-    ) -> Self {
-        assert!(!tiers.is_empty(), "fallback chain needs at least one tier");
+    /// Panics if `config.tiers` is empty, or contains
+    /// [`TierKind::Headroom`] while `config.charging` has no free slots.
+    pub fn new(config: &RuntimeConfig) -> Self {
+        assert!(!config.tiers.is_empty(), "fallback chain needs at least one tier");
         Self {
-            tiers: tiers
+            tiers: config
+                .tiers
                 .iter()
-                .map(|&kind| Tier {
-                    kind,
-                    scheduler: match kind {
-                        TierKind::Alap => TierScheduler::Alap(AlapTier::new()),
-                        _ => TierScheduler::Dyn(kind.build_with_charging(
-                            warm_start,
-                            incremental,
-                            charging,
-                        )),
-                    },
-                })
+                .map(|&kind| Tier { kind, scheduler: kind.build(config) })
                 .collect(),
-            clock,
-            slot_budget,
+            clock: config.clock.build(),
+            slot_budget: config.slot_budget(),
             forced_now: Vec::new(),
             skip_alap: false,
             records: Vec::new(),
@@ -570,8 +484,7 @@ impl Scheduler for FallbackChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimClock;
-    use postcard_net::{DcId, FileId, NetworkBuilder};
+    use postcard_net::{ChargingScheme, DcId, FileId, NetworkBuilder};
 
     fn d(i: usize) -> DcId {
         DcId(i)
@@ -585,12 +498,17 @@ mod tests {
             .build()
     }
 
+    /// A 100 ms-budget chain over `tiers` on the simulated clock.
+    fn chain_of(tiers: &[TierKind]) -> FallbackChain {
+        FallbackChain::new(&RuntimeConfig {
+            tiers: tiers.to_vec(),
+            slot_budget_us: 100_000,
+            ..Default::default()
+        })
+    }
+
     fn chain() -> FallbackChain {
-        FallbackChain::new(
-            &TierKind::default_chain(),
-            Duration::from_millis(100),
-            Box::new(SimClock::new()),
-        )
+        chain_of(&TierKind::default_chain())
     }
 
     fn file() -> TransferRequest {
@@ -667,11 +585,7 @@ mod tests {
     }
 
     fn alap_chain() -> FallbackChain {
-        FallbackChain::new(
-            &[TierKind::Alap, TierKind::Postcard],
-            Duration::from_millis(100),
-            Box::new(SimClock::new()),
-        )
+        chain_of(&[TierKind::Alap, TierKind::Postcard])
     }
 
     #[test]
@@ -701,11 +615,7 @@ mod tests {
 
     #[test]
     fn skip_is_ignored_when_alap_is_the_only_tier() {
-        let mut c = FallbackChain::new(
-            &[TierKind::Alap],
-            Duration::from_millis(100),
-            Box::new(SimClock::new()),
-        );
+        let mut c = chain_of(&[TierKind::Alap]);
         c.begin_slot(2, vec![]);
         c.set_skip_alap(true);
         let d = c.schedule(&net(), &[file()], &TrafficLedger::new(3)).unwrap();
@@ -714,14 +624,12 @@ mod tests {
     }
 
     fn headroom_chain() -> FallbackChain {
-        FallbackChain::with_charging(
-            &[TierKind::Headroom, TierKind::Postcard],
-            Duration::from_millis(100),
-            Box::new(SimClock::new()),
-            false,
-            false,
-            ChargingScheme::Percentile { q: 95.0, window_slots: 20 },
-        )
+        FallbackChain::new(&RuntimeConfig {
+            tiers: vec![TierKind::Headroom, TierKind::Postcard],
+            slot_budget_us: 100_000,
+            charging: ChargingScheme::Percentile { q: 95.0, window_slots: 20 },
+            ..Default::default()
+        })
     }
 
     #[test]

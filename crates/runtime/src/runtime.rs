@@ -7,12 +7,18 @@
 //! the online controller through the fallback chain, (4) records metrics,
 //! and (5) checkpoints every `checkpoint_every` slots. A slot is *never*
 //! missed: the chain's final tier always commits, and if even that tier
-//! hard-fails the runtime steps the controller with an empty batch so the
-//! cost history stays slot-aligned (the slot is counted as degraded).
+//! hard-fails, the files decided before the failure stand and the slot
+//! still gets its cost-history entry (the slot is counted as degraded).
 //!
-//! Batches a slot could not schedule — strict analysis rejected them for
-//! transient reasons, or the whole chain hard-failed — are *not* thrown
-//! away: they go back to the front of the backlog and retry in a later slot
+//! Sharded and unsharded runs share one slot path: the batch is solved as
+//! one partition in place on the controller's ledger, or as one partition
+//! per shard through the [`ShardEngine`], and one accounting step records
+//! the slot's metrics from the partitions' outcomes.
+//!
+//! Work a slot could not schedule — batches strict analysis rejected for
+//! transient reasons, or files a hard chain failure left undecided — is
+//! *not* thrown away: it goes back to the front of the backlog and retries
+//! in a later slot
 //! (the run horizon extends to give them one), each request at most
 //! [`RuntimeConfig::max_requeue_attempts`] times before it counts as lost.
 //! Requests whose deadline passes while queued are evicted at the next
@@ -36,7 +42,7 @@ use crate::shard::{manifest, ShardBy, ShardEngine, ShardState};
 use crate::snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};
 use postcard_analyze::check_problem;
 use postcard_core::{
-    build_postcard_problem, OnlineController, PostcardConfig, PostcardError, StepReport,
+    build_postcard_problem, ControllerState, OnlineController, PostcardConfig, StepReport,
 };
 use postcard_net::{ChargingScheme, DcId, Network, TransferRequest};
 use serde::{Deserialize, Serialize};
@@ -142,8 +148,6 @@ impl RuntimeConfig {
 pub enum RuntimeError {
     /// Snapshot load/save or other I/O failure.
     Snapshot(String),
-    /// Even the empty-batch recovery step failed.
-    Scheduler(PostcardError),
     /// Inconsistent configuration.
     Config(String),
 }
@@ -152,7 +156,6 @@ impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::Snapshot(m) => write!(f, "snapshot: {m}"),
-            RuntimeError::Scheduler(e) => write!(f, "scheduler: {e}"),
             RuntimeError::Config(m) => write!(f, "config: {m}"),
         }
     }
@@ -168,11 +171,23 @@ pub struct SlotOutcome {
     /// The tier that committed the slot's first decision (`None` for an
     /// empty batch, which commits trivially).
     pub chosen_tier: Option<TierKind>,
-    /// `true` if the whole chain hard-failed and the slot ran degraded
-    /// (empty batch, arrivals lost).
+    /// `true` if the whole chain hard-failed and the slot ran degraded:
+    /// the files it left undecided went back to the backlog.
     pub degraded: bool,
     /// `true` if a checkpoint was written after this slot.
     pub checkpointed: bool,
+}
+
+/// What the slot accounting reads from one partition of a slot's batch:
+/// the whole batch when unsharded, one shard's share otherwise.
+struct Partition {
+    batch_len: usize,
+    accepted: usize,
+    rejected: usize,
+    /// The tier that committed the partition's first decision.
+    chosen_tier: Option<TierKind>,
+    /// Every tier attempt the partition's chain made this slot.
+    records: Vec<AttemptRecord>,
 }
 
 /// A crash-safe, fault-tolerant controller service over one network, one
@@ -231,22 +246,40 @@ impl Runtime {
             config.tiers.retain(|t| *t != TierKind::Headroom);
             config.tiers.insert(0, TierKind::Headroom);
         }
-        Self::validate(&config)?;
-        let chain = FallbackChain::with_charging(
-            &config.tiers,
-            config.slot_budget(),
-            config.clock.build(),
-            config.warm_start,
-            config.incremental,
-            config.charging,
-        );
         // The horizon must cover every arrival's full deadline *window*, not
         // just its release slot — a late release with a multi-slot window
         // used to get its tail slots only via the requeue extension.
         let num_slots = num_slots.max(arrivals.horizon_slots());
-        let engine = (config.shards > 1).then(|| ShardEngine::new(&config, network.num_dcs()));
+        Self::assemble(network, None, config, arrivals, faults, num_slots, None)
+    }
+
+    /// The one assembly path of fresh, restored and resumed runs: validates
+    /// `config`, builds the controller's fallback chain over `network`
+    /// (continuing from `state` when restoring), and for a sharded config
+    /// the [`ShardEngine`] over `shard_states` (fresh zeroed states when
+    /// `None`), which spawns the shard workers.
+    fn assemble(
+        network: Network,
+        state: Option<ControllerState>,
+        config: RuntimeConfig,
+        arrivals: ArrivalSchedule,
+        faults: FaultPlan,
+        num_slots: u64,
+        shard_states: Option<Vec<ShardState>>,
+    ) -> Result<Self, RuntimeError> {
+        Self::validate(&config)?;
+        let engine = (config.shards > 1).then(|| {
+            let states = shard_states
+                .unwrap_or_else(|| vec![ShardState::new(network.num_dcs()); config.shards]);
+            ShardEngine::new(&config, states)
+        });
+        let chain = FallbackChain::new(&config);
+        let controller = match state {
+            Some(state) => OnlineController::from_state(network, chain, state),
+            None => OnlineController::new(network, chain),
+        };
         Ok(Self {
-            controller: OnlineController::new(network, chain).with_charging(config.charging),
+            controller: controller.with_charging(config.charging),
             queue: AdmissionQueue::new(config.queue_capacity),
             config,
             arrivals,
@@ -294,8 +327,7 @@ impl Runtime {
     pub fn resume(path: &Path) -> Result<Self, RuntimeError> {
         let snap = RuntimeSnapshot::load(path).map_err(RuntimeError::Snapshot)?;
         // For a sharded checkpoint the file is the manifest: restore the
-        // per-shard billing-attribution states from the files it references
-        // before the engine is rebuilt.
+        // per-shard billing-attribution states from the files it references.
         let states = if snap.config.shards > 1 && !snap.shard_refs.is_empty() {
             Some(
                 manifest::load_shard_states(path, &snap.shard_refs, snap.config.shards)
@@ -304,22 +336,29 @@ impl Runtime {
         } else {
             None
         };
-        let mut rt = Self::from_snapshot(snap)?;
-        if let Some(states) = states {
-            let engine = ShardEngine::with_states(&rt.config, states);
-            rt.engine = Some(engine);
-        }
-        Ok(rt)
+        Self::restore(snap, states)
     }
 
     /// Rebuilds a service from an in-memory snapshot (see
     /// [`Runtime::resume`] for the file-based entry point).
     ///
+    /// In-memory resume gets fresh (zeroed) shard states: the global
+    /// controller state is complete, so *decisions* are unaffected; only
+    /// per-shard billing attribution restarts from zero. The file-based
+    /// [`Runtime::resume`] restores attribution too, from the manifest's
+    /// shard files.
+    ///
     /// # Errors
     ///
     /// Reports an invalid stored config.
     pub fn from_snapshot(snap: RuntimeSnapshot) -> Result<Self, RuntimeError> {
-        Self::validate(&snap.config)?;
+        Self::restore(snap, None)
+    }
+
+    fn restore(
+        snap: RuntimeSnapshot,
+        shard_states: Option<Vec<ShardState>>,
+    ) -> Result<Self, RuntimeError> {
         let network = snap.rebuild_network();
         // Warm-start state (the previous optimal basis) is deliberately not
         // snapshotted: a resumed run cold-solves its first slot, which only
@@ -327,38 +366,20 @@ impl Runtime {
         // grid is likewise not snapshotted: a fresh `AlapTier` starts dirty
         // and deterministically rebuilds the grid from the restored ledger
         // on first use, so resumed runs stay bit-identical.
-        let chain = FallbackChain::with_charging(
-            &snap.config.tiers,
-            snap.config.slot_budget(),
-            snap.config.clock.build(),
-            snap.config.warm_start,
-            snap.config.incremental,
-            snap.config.charging,
-        );
-        let mut queue = AdmissionQueue::new(snap.config.queue_capacity);
-        queue.restore(snap.queue, snap.queue_dropped);
-        // In-memory resume gets fresh (zeroed) shard states: the global
-        // controller state above is complete, so *decisions* are unaffected;
-        // only per-shard billing attribution restarts from zero. The
-        // file-based [`Runtime::resume`] restores attribution too, from the
-        // manifest's shard files.
-        let engine =
-            (snap.config.shards > 1).then(|| ShardEngine::new(&snap.config, network.num_dcs()));
-        let charging = snap.config.charging;
-        Ok(Self {
-            controller: OnlineController::from_state(network, chain, snap.controller)
-                .with_charging(charging),
-            queue,
-            config: snap.config,
-            arrivals: snap.arrivals,
-            faults: snap.faults,
-            metrics: snap.metrics,
-            engine,
-            wall_metrics: MetricsRegistry::new(),
-            pending_restores: snap.pending_restores,
-            next_slot: snap.next_slot,
-            num_slots: snap.num_slots,
-        })
+        let mut rt = Self::assemble(
+            network,
+            Some(snap.controller),
+            snap.config,
+            snap.arrivals,
+            snap.faults,
+            snap.num_slots,
+            shard_states,
+        )?;
+        rt.queue.restore(snap.queue, snap.queue_dropped);
+        rt.metrics = snap.metrics;
+        rt.pending_restores = snap.pending_restores;
+        rt.next_slot = snap.next_slot;
+        Ok(rt)
     }
 
     /// Snapshots the current state. Snapshots are taken at slot boundaries,
@@ -405,7 +426,7 @@ impl Runtime {
         }
     }
 
-    /// Sends a batch the slot could not schedule back to the backlog:
+    /// Sends work the slot could not schedule back to the backlog:
     /// entries still inside their retry budget go to the front of the queue
     /// with `attempts` bumped, the rest count as lost. `kind` selects the
     /// metric family (`files_requeued_analysis` / `files_lost_analysis` or
@@ -437,8 +458,7 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Reports checkpoint I/O failures and hard scheduler errors that even
-    /// the degraded empty-batch step could not absorb.
+    /// Reports checkpoint I/O failures.
     pub fn run_slot(&mut self) -> Result<Option<SlotOutcome>, RuntimeError> {
         if self.next_slot >= self.num_slots {
             return Ok(None);
@@ -576,10 +596,9 @@ impl Runtime {
             }
         }
 
-        // (3) + (4): schedule and record metrics, on the single-solver or
-        // the sharded path. On a scheduled re-optimization slot the ALAP
-        // rung is skipped, so the full LP re-plans the batch; the residual
-        // grid is rebased afterwards.
+        // (3) + (4): schedule and record metrics. On a scheduled
+        // re-optimization slot the ALAP rung is skipped, so the full LP
+        // re-plans the batch; the residual grid is rebased afterwards.
         // The headroom rung (prepended under percentile charging) sits ahead
         // of everything, so "ALAP-first" means the first *scheduling* tier.
         let alap_first =
@@ -588,11 +607,13 @@ impl Runtime {
             && self.config.reopt_every > 0
             && slot > 0
             && slot.is_multiple_of(self.config.reopt_every);
-        let (report, chosen_tier, degraded) = if self.engine.is_some() {
-            self.step_sharded(slot, entries, &batch, reopt_now)?
-        } else {
-            self.step_unsharded(slot, entries, &batch, reopt_now)?
-        };
+        let (report, chosen_tier) = self.schedule_slot(slot, &batch, reopt_now);
+        let degraded = !report.undecided.is_empty();
+        if degraded {
+            let undecided: Vec<QueuedRequest> =
+                entries.into_iter().filter(|e| report.undecided.contains(&e.request.id)).collect();
+            self.requeue_unscheduled(undecided, slot, "degraded");
+        }
 
         // (5) Advance and checkpoint.
         self.next_slot = slot + 1;
@@ -618,57 +639,132 @@ impl Runtime {
         Ok(Some(SlotOutcome { report, chosen_tier, degraded, checkpointed }))
     }
 
-    /// Steps (3)+(4) of a classic single-solver slot: drive the controller
-    /// through the fallback chain, then record metrics.
-    fn step_unsharded(
+    /// Steps (3)+(4): solves the batch — as one partition in place on the
+    /// controller's ledger, or partitioned by the [`ShardEngine`] into one
+    /// partition per shard whose reconciled decisions commit centrally —
+    /// then records the slot's metrics. Returns the slot's report and the
+    /// tier that committed its first decision.
+    fn schedule_slot(
         &mut self,
         slot: u64,
-        mut entries: Vec<QueuedRequest>,
         batch: &[TransferRequest],
         reopt_now: bool,
-    ) -> Result<(StepReport, Option<TierKind>, bool), RuntimeError> {
+    ) -> (StepReport, Option<TierKind>) {
         let forced = self.faults.timeouts_at(slot);
-        self.controller.scheduler_mut().begin_slot(slot, forced);
-        self.controller.scheduler_mut().set_skip_alap(reopt_now);
-        let solve_started = (!batch.is_empty()).then(WallStopwatch::start);
-        let (report, degraded) = match self.controller.step(slot, batch) {
-            Ok(report) => (report, false),
-            Err(_) => {
-                // The whole chain hard-failed. Keep the slot: send the batch
-                // back to the backlog (bounded by `max_requeue_attempts`),
-                // then re-arm the chain and step with an empty batch
-                // (trivially feasible) so cost_history stays slot-aligned.
-                let unscheduled = std::mem::take(&mut entries);
-                self.requeue_unscheduled(unscheduled, slot, "degraded");
-                self.controller.scheduler_mut().begin_slot(slot, self.faults.timeouts_at(slot));
-                let report = self.controller.step(slot, &[]).map_err(RuntimeError::Scheduler)?;
-                (report, true)
+        let started = WallStopwatch::start();
+        let (report, partitions) = match self.engine.as_mut() {
+            None => {
+                let chain = self.controller.scheduler_mut();
+                chain.begin_slot(slot, forced);
+                chain.set_skip_alap(reopt_now);
+                // The runtime retries what a hard failure left undecided, so
+                // the error itself carries nothing further.
+                let (report, _) = self.controller.admit_slot(slot, batch);
+                let chain = self.controller.scheduler();
+                let partition = Partition {
+                    batch_len: batch.len(),
+                    accepted: report.accepted.len(),
+                    rejected: report.rejected.len(),
+                    chosen_tier: chain.chosen_tier(),
+                    records: chain.records().to_vec(),
+                };
+                // Any committed decision the ALAP rung did not make itself
+                // (an LP re-optimization, a forced fallback, a hard failure)
+                // changes the ledger behind the residual grid's back: rebase
+                // before the next admission.
+                if (!report.undecided.is_empty()
+                    || partition.chosen_tier.is_some_and(|t| t != TierKind::Alap))
+                    && self.config.tiers.contains(&TierKind::Alap)
+                {
+                    self.controller.scheduler_mut().mark_alap_dirty();
+                }
+                (report, vec![partition])
+            }
+            Some(engine) => {
+                let batches = engine.planner().partition(batch);
+                let result = engine.run_slot(
+                    self.controller.network(),
+                    self.controller.ledger(),
+                    &batches,
+                    slot,
+                    &forced,
+                    reopt_now,
+                );
+                // One central commit for the whole merged slot: the
+                // per-shard decisions land on the single billing ledger in
+                // shard order, and the cost history stays slot-aligned.
+                let report =
+                    self.controller.commit_reconciled(slot, &result.commits, result.admission);
+                if result.degraded_shards > 0 {
+                    self.metrics.inc("degraded_shards", result.degraded_shards);
+                }
+                if result.conflicts > 0 {
+                    self.metrics.inc("shard_conflicts", result.conflicts);
+                }
+                let partitions = result
+                    .resolutions
+                    .into_iter()
+                    .map(|solve| {
+                        if solve.batch_len > 0 {
+                            self.wall_metrics.observe(
+                                &format!("solve_wall_seconds_shard{}", solve.shard),
+                                solve.wall_seconds,
+                            );
+                            for line in &solve.diagnostics {
+                                eprintln!("slot {slot}: {line}");
+                            }
+                        }
+                        Partition {
+                            batch_len: solve.batch_len,
+                            accepted: solve.admission.accepted.len(),
+                            rejected: solve.admission.rejected.len(),
+                            chosen_tier: solve.chosen_tier,
+                            records: solve.records,
+                        }
+                    })
+                    .collect();
+                (report, partitions)
             }
         };
-        if let Some(started) = solve_started {
+        if !batch.is_empty() {
             self.wall_metrics.observe("solve_wall_seconds", started.elapsed_secs());
         }
+        let chosen_tier = self.account_slot(&report, &partitions, reopt_now);
+        (report, chosen_tier)
+    }
 
-        // (4) Metrics.
+    /// Records one slot's metrics from its report and its partitions'
+    /// outcomes (exactly one partition when unsharded). Returns the slot's
+    /// representative tier: the first non-empty partition's chosen tier.
+    fn account_slot(
+        &mut self,
+        report: &StepReport,
+        partitions: &[Partition],
+        reopt_now: bool,
+    ) -> Option<TierKind> {
         self.metrics.inc("slots_total", 1);
-        if degraded {
+        if !report.undecided.is_empty() {
             self.metrics.inc("degraded_slots", 1);
         }
         self.metrics.inc("files_accepted", report.accepted.len() as u64);
         self.metrics.inc("files_rejected", report.rejected.len() as u64);
         self.metrics.set_gauge("bill_per_slot", report.cost_per_slot);
         self.metrics.observe("bill_per_slot_history", report.cost_per_slot);
-        // Empty batches commit trivially on the first tier; recording them
+        // Empty partitions commit trivially (or not at all); counting them
         // would drown the tier-choice and latency metrics in no-ops.
-        let chosen_tier =
-            if batch.is_empty() { None } else { self.controller.scheduler().chosen_tier() };
+        let busy = || partitions.iter().filter(|p| p.batch_len > 0);
+        if reopt_now && busy().next().is_some() {
+            self.metrics.inc("lp_reoptimizations", 1);
+        }
+        let chosen_tier = busy().next().and_then(|p| p.chosen_tier);
         if let Some(tier) = chosen_tier {
             self.metrics.inc(&format!("tier_chosen_{}", tier.name()), 1);
             // A scheduled re-optimization deliberately lands on an LP tier,
             // and a headroom decline deliberately hands the slot to the
             // first scheduling tier; both are the design working, not a
             // fallback.
-            let declined = self.controller.scheduler().headroom_declined();
+            let declined =
+                busy().any(|p| p.records.iter().any(|r| r.outcome == AttemptOutcome::Declined));
             let expected_first = self
                 .config
                 .tiers
@@ -680,48 +776,34 @@ impl Runtime {
                 self.metrics.inc("slots_on_fallback_tier", 1);
             }
         }
-        let records = if batch.is_empty() {
-            Vec::new()
-        } else {
-            self.controller.scheduler().records().to_vec()
-        };
-        if reopt_now && !batch.is_empty() {
-            self.metrics.inc("lp_reoptimizations", 1);
-        }
-        // The ALAP rung's admission verdicts, from the step report: it
-        // decided the slot when it committed or (per-file) rejected, and no
-        // other tier committed over its head.
-        let alap_decided = records.iter().any(|r| {
-            r.tier == TierKind::Alap
-                && matches!(
-                    r.outcome,
-                    AttemptOutcome::Committed
-                        | AttemptOutcome::CommittedAfterRetry
-                        | AttemptOutcome::Infeasible
-                )
-        });
-        if alap_decided && chosen_tier.is_none_or(|t| t == TierKind::Alap) {
-            if !report.accepted.is_empty() {
-                self.metrics.inc("alap_admits", report.accepted.len() as u64);
+        for p in busy() {
+            // The ALAP rung's admission verdicts: it decided the partition
+            // when it committed or (per-file) rejected, and no other tier
+            // committed over its head.
+            let alap_decided = p.records.iter().any(|r| {
+                r.tier == TierKind::Alap
+                    && matches!(
+                        r.outcome,
+                        AttemptOutcome::Committed
+                            | AttemptOutcome::CommittedAfterRetry
+                            | AttemptOutcome::Infeasible
+                    )
+            });
+            if alap_decided && p.chosen_tier.is_none_or(|t| t == TierKind::Alap) {
+                if p.accepted > 0 {
+                    self.metrics.inc("alap_admits", p.accepted as u64);
+                }
+                if p.rejected > 0 {
+                    self.metrics.inc("alap_rejects", p.rejected as u64);
+                }
             }
-            if !report.rejected.is_empty() {
-                self.metrics.inc("alap_rejects", report.rejected.len() as u64);
-            }
+            self.record_attempt_metrics(&p.records);
         }
-        self.record_attempt_metrics(&records);
-        // Any committed decision the ALAP rung did not make itself (an LP
-        // re-optimization, a forced fallback) changes the ledger behind the
-        // residual grid's back: rebase before the next admission.
-        if (degraded || chosen_tier.is_some_and(|t| t != TierKind::Alap))
-            && self.config.tiers.contains(&TierKind::Alap)
-        {
-            self.controller.scheduler_mut().mark_alap_dirty();
-        }
-        Ok((report, chosen_tier, degraded))
+        chosen_tier
     }
 
-    /// Folds one slot's tier-attempt records into the metrics registry
-    /// (shared by the unsharded path and every shard of a sharded slot).
+    /// Folds one partition's tier-attempt records into the metrics
+    /// registry.
     fn record_attempt_metrics(&mut self, records: &[AttemptRecord]) {
         for rec in records {
             match rec.outcome {
@@ -785,135 +867,6 @@ impl Runtime {
                 }
             }
         }
-    }
-
-    /// Steps (3)+(4) of a sharded slot: partition the batch, run every
-    /// shard's optimistic solve in parallel, merge in fixed shard order
-    /// (re-solving conflicted shards serially), commit the merged result to
-    /// the central ledger, and record metrics.
-    fn step_sharded(
-        &mut self,
-        slot: u64,
-        entries: Vec<QueuedRequest>,
-        batch: &[TransferRequest],
-        reopt_now: bool,
-    ) -> Result<(StepReport, Option<TierKind>, bool), RuntimeError> {
-        let forced = self.faults.timeouts_at(slot);
-        // postcard-analyze: allow(PA102) — run_slot only dispatches here
-        // when `shards > 1`, and Runtime construction builds the engine for
-        // every such config.
-        let engine = self.engine.as_mut().expect("sharded step requires an engine");
-        let planner = *engine.planner();
-        let batches = planner.partition(batch);
-        let started = WallStopwatch::start();
-        let result = engine.run_slot(
-            self.controller.network(),
-            self.controller.ledger(),
-            &batches,
-            slot,
-            &forced,
-            reopt_now,
-        );
-        let total_wall = started.elapsed_secs();
-
-        // A hard-failed shard degrades only itself: its entries go back to
-        // the backlog, every other shard's merged result stands.
-        let degraded = !result.degraded_shards.is_empty();
-        if degraded {
-            let requeue: Vec<QueuedRequest> = entries
-                .into_iter()
-                .filter(|e| {
-                    e.request
-                        .carried_to(slot)
-                        .is_some_and(|r| result.degraded_shards.contains(&planner.shard_of(&r)))
-                })
-                .collect();
-            self.requeue_unscheduled(requeue, slot, "degraded");
-        }
-
-        // One central commit for the whole merged slot: the per-shard
-        // decisions land on the single billing ledger in shard order, and
-        // the cost history stays slot-aligned.
-        let report = self.controller.commit_reconciled(
-            slot,
-            &result.commits,
-            result.accepted,
-            result.rejected,
-            result.accepted_volume,
-            result.rejected_volume,
-        );
-
-        // (4) Metrics — the same families as the unsharded path, plus the
-        // shard-specific counters.
-        self.metrics.inc("slots_total", 1);
-        if degraded {
-            self.metrics.inc("degraded_slots", 1);
-            self.metrics.inc("degraded_shards", result.degraded_shards.len() as u64);
-        }
-        self.metrics.inc("files_accepted", report.accepted.len() as u64);
-        self.metrics.inc("files_rejected", report.rejected.len() as u64);
-        self.metrics.set_gauge("bill_per_slot", report.cost_per_slot);
-        self.metrics.observe("bill_per_slot_history", report.cost_per_slot);
-        if result.conflicts > 0 {
-            self.metrics.inc("shard_conflicts", result.conflicts);
-        }
-        if reopt_now && !batch.is_empty() {
-            self.metrics.inc("lp_reoptimizations", 1);
-        }
-        // The slot's representative tier is the first non-empty shard's —
-        // the same "first decision" rule the unsharded path applies.
-        let chosen_tier =
-            result.resolutions.iter().find(|s| s.batch_len > 0).and_then(|s| s.chosen_tier);
-        if let Some(tier) = chosen_tier {
-            self.metrics.inc(&format!("tier_chosen_{}", tier.name()), 1);
-            // Same carve-outs as the unsharded path: a scheduled
-            // re-optimization and a headroom decline are by design.
-            let declined = result.resolutions.iter().any(|s| {
-                s.batch_len > 0 && s.records.iter().any(|r| r.outcome == AttemptOutcome::Declined)
-            });
-            let expected_first = self
-                .config
-                .tiers
-                .iter()
-                .copied()
-                .find(|t| *t != TierKind::Headroom || !declined)
-                .unwrap_or(self.config.tiers[0]);
-            if tier != expected_first && !reopt_now {
-                self.metrics.inc("slots_on_fallback_tier", 1);
-            }
-        }
-        if !batch.is_empty() {
-            self.wall_metrics.observe("solve_wall_seconds", total_wall);
-        }
-        for solve in &result.resolutions {
-            if solve.batch_len == 0 {
-                continue;
-            }
-            self.wall_metrics
-                .observe(&format!("solve_wall_seconds_shard{}", solve.shard), solve.wall_seconds);
-            for line in &solve.diagnostics {
-                eprintln!("slot {slot}: {line}");
-            }
-            let alap_decided = solve.records.iter().any(|r| {
-                r.tier == TierKind::Alap
-                    && matches!(
-                        r.outcome,
-                        AttemptOutcome::Committed
-                            | AttemptOutcome::CommittedAfterRetry
-                            | AttemptOutcome::Infeasible
-                    )
-            });
-            if alap_decided && solve.chosen_tier.is_none_or(|t| t == TierKind::Alap) {
-                if !solve.accepted.is_empty() {
-                    self.metrics.inc("alap_admits", solve.accepted.len() as u64);
-                }
-                if !solve.rejected.is_empty() {
-                    self.metrics.inc("alap_rejects", solve.rejected.len() as u64);
-                }
-            }
-            self.record_attempt_metrics(&solve.records);
-        }
-        Ok((report, chosen_tier, degraded))
     }
 
     /// Runs every remaining slot.

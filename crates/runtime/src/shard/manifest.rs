@@ -21,7 +21,7 @@
 //!    durable before it was.
 
 use crate::snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};
-use postcard_core::Decision;
+use postcard_core::{Admission, Decision};
 use postcard_net::{TrafficLedger, TransferRequest};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -64,30 +64,21 @@ impl ShardState {
 
     /// Attributes a committed decision to this shard at `slot`.
     pub fn apply(&mut self, decision: &Decision, files: &[TransferRequest], slot: u64) {
-        match decision {
-            Decision::Plan(plan) => plan.apply_to_ledger(&mut self.ledger),
-            Decision::Rates(rates) => rates.apply_to_ledger(files, &mut self.ledger),
-        }
+        decision.apply_to_ledger(files, &mut self.ledger);
         self.stamp = slot + 1;
     }
 
     /// Records the shard's admission outcome for `slot`. A slot in which
-    /// the shard saw no files leaves the state (and its stamp) untouched.
-    pub fn note_admission(
-        &mut self,
-        accepted: u64,
-        rejected: u64,
-        accepted_volume: f64,
-        rejected_volume: f64,
-        slot: u64,
-    ) {
-        if accepted + rejected == 0 {
+    /// the shard decided no files leaves the state (and its stamp)
+    /// untouched.
+    pub fn note_admission(&mut self, admission: &Admission, slot: u64) {
+        if admission.accepted.is_empty() && admission.rejected.is_empty() {
             return;
         }
-        self.accepted += accepted;
-        self.rejected += rejected;
-        self.accepted_volume += accepted_volume;
-        self.rejected_volume += rejected_volume;
+        self.accepted += admission.accepted.len() as u64;
+        self.rejected += admission.rejected.len() as u64;
+        self.accepted_volume += admission.accepted_volume;
+        self.rejected_volume += admission.rejected_volume;
         self.stamp = slot + 1;
     }
 }
@@ -351,7 +342,9 @@ mod tests {
         let mut plan = TransferPlan::new();
         plan.add(FileId(1), slot, DcId(0), DcId(1), 3.0);
         s.apply(&Decision::Plan(plan), &[f], slot);
-        s.note_admission(1, 0, 3.0, 0.0, slot);
+        let admission =
+            Admission { accepted: vec![FileId(1)], accepted_volume: 3.0, ..Default::default() };
+        s.note_admission(&admission, slot);
         s
     }
 
@@ -359,9 +352,16 @@ mod tests {
     fn state_stamps_only_on_change() {
         let mut s = ShardState::new(2);
         assert_eq!(s.stamp, 0);
-        s.note_admission(0, 0, 0.0, 0.0, 7);
+        s.note_admission(&Admission::default(), 7);
         assert_eq!(s.stamp, 0, "an idle slot must not dirty the state");
-        s.note_admission(2, 1, 5.0, 1.0, 0);
+        let admission = Admission {
+            accepted: vec![FileId(1), FileId(2)],
+            rejected: vec![FileId(3)],
+            accepted_volume: 5.0,
+            rejected_volume: 1.0,
+            ..Default::default()
+        };
+        s.note_admission(&admission, 0);
         assert_eq!(s.stamp, 1, "slot 0 activity must be distinguishable from pristine");
         assert_eq!((s.accepted, s.rejected), (2, 1));
     }

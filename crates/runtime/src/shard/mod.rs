@@ -38,8 +38,8 @@ pub use pool::{ShardSolve, WorkerPool};
 
 use crate::fallback::{FallbackChain, TierKind};
 use crate::runtime::RuntimeConfig;
-use postcard_core::Decision;
-use postcard_net::{FileId, Network, TrafficLedger, TransferRequest};
+use postcard_core::{Admission, Decision};
+use postcard_net::{Network, TrafficLedger, TransferRequest};
 use serde::{Deserialize, Serialize};
 
 /// How a batch is partitioned into shards.
@@ -87,19 +87,15 @@ pub struct ShardSlotResult {
     pub resolutions: Vec<ShardSolve>,
     /// Every commit to apply, flattened in shard order.
     pub commits: Vec<(Vec<TransferRequest>, Decision)>,
-    /// Accepted files across shards, in shard order then batch order.
-    pub accepted: Vec<FileId>,
-    /// Rejected files across shards, in shard order then batch order.
-    pub rejected: Vec<FileId>,
-    /// Total accepted volume (GB).
-    pub accepted_volume: f64,
-    /// Total rejected volume (GB).
-    pub rejected_volume: f64,
+    /// The shards' admissions concatenated in shard order (volumes summed,
+    /// `failure` the first shard's).
+    pub admission: Admission,
     /// Shards whose optimistic solve over-committed a shared link and were
     /// re-solved serially.
     pub conflicts: u64,
-    /// Shards whose chain hard-failed (their entries should be requeued).
-    pub degraded_shards: Vec<usize>,
+    /// Shards whose chain hard-failed (their undecided files should be
+    /// requeued).
+    pub degraded_shards: u64,
 }
 
 /// Owns the long-lived shard worker pool (each worker holding its shard's
@@ -116,33 +112,17 @@ pub struct ShardEngine {
 }
 
 impl ShardEngine {
-    /// Builds an engine with fresh (zeroed) shard states from a validated
-    /// sharded config.
-    pub fn new(config: &RuntimeConfig, num_dcs: usize) -> Self {
-        let states = (0..config.shards).map(|_| ShardState::new(num_dcs)).collect();
-        Self::with_states(config, states)
-    }
-
-    /// Builds an engine over restored shard states (resume path).
+    /// Builds an engine from a validated sharded config over one
+    /// billing-attribution state per shard (fresh, or restored on resume),
+    /// spawning one worker per shard.
     ///
     /// # Panics
     ///
     /// Panics if `states.len() != config.shards` — the manifest loader
     /// checks this before calling.
-    pub fn with_states(config: &RuntimeConfig, states: Vec<ShardState>) -> Self {
+    pub fn new(config: &RuntimeConfig, states: Vec<ShardState>) -> Self {
         assert_eq!(states.len(), config.shards, "one state per shard");
-        let chains = (0..config.shards)
-            .map(|_| {
-                FallbackChain::with_charging(
-                    &config.tiers,
-                    config.slot_budget(),
-                    config.clock.build(),
-                    config.warm_start,
-                    config.incremental,
-                    config.charging,
-                )
-            })
-            .collect();
+        let chains = (0..config.shards).map(|_| FallbackChain::new(config)).collect();
         Self {
             planner: ShardPlanner::new(config.shard_by, config.shards),
             pool: WorkerPool::new(chains),
@@ -195,38 +175,34 @@ impl ShardEngine {
 
         let mut result = ShardSlotResult {
             commits: Vec::new(),
-            accepted: Vec::new(),
-            rejected: Vec::new(),
-            accepted_volume: 0.0,
-            rejected_volume: 0.0,
+            admission: Admission::default(),
             conflicts: 0,
-            degraded_shards: Vec::new(),
+            degraded_shards: 0,
             resolutions: Vec::new(),
         };
         for solve in &resolutions {
             if solve.conflicted {
                 result.conflicts += 1;
             }
-            if solve.degraded {
-                result.degraded_shards.push(solve.shard);
-                continue;
+            let admission = &solve.admission;
+            if admission.failure.is_some() {
+                result.degraded_shards += 1;
             }
             let state = &mut self.states[solve.shard];
             for (files, decision) in &solve.commits {
                 state.apply(decision, files, slot);
             }
-            state.note_admission(
-                solve.accepted.len() as u64,
-                solve.rejected.len() as u64,
-                solve.accepted_volume,
-                solve.rejected_volume,
-                slot,
-            );
+            state.note_admission(admission, slot);
             result.commits.extend(solve.commits.iter().cloned());
-            result.accepted.extend(solve.accepted.iter().copied());
-            result.rejected.extend(solve.rejected.iter().copied());
-            result.accepted_volume += solve.accepted_volume;
-            result.rejected_volume += solve.rejected_volume;
+            let merged = &mut result.admission;
+            merged.accepted.extend_from_slice(&admission.accepted);
+            merged.rejected.extend_from_slice(&admission.rejected);
+            merged.undecided.extend_from_slice(&admission.undecided);
+            merged.accepted_volume += admission.accepted_volume;
+            merged.rejected_volume += admission.rejected_volume;
+            if merged.failure.is_none() {
+                merged.failure.clone_from(&admission.failure);
+            }
         }
         result.resolutions = resolutions;
         result

@@ -1,11 +1,11 @@
 //! The `std::thread` worker pool running per-shard solves in parallel.
 //!
-//! Each shard's worker replays the online controller's step semantics —
-//! whole-batch solve, then per-file admission in arrival order on
-//! infeasibility — against an *overlay* ledger: a clone of the central
-//! ledger that accumulates only this shard's own tentative commits. The
-//! central ledger is never touched from a worker thread; the reconciler
-//! merges tentative results afterwards in fixed shard order.
+//! Each shard's worker runs the online controller's admission rule
+//! ([`postcard_core::admit`]: whole-batch solve, then per-file admission in
+//! arrival order on infeasibility) against an *overlay* ledger: a clone of
+//! the central ledger that accumulates only this shard's own tentative
+//! commits. The central ledger is never touched from a worker thread; the
+//! reconciler merges tentative results afterwards in fixed shard order.
 //!
 //! Workers are **long-lived**: [`WorkerPool::new`] moves each shard's
 //! [`FallbackChain`] onto its own thread once, and every slot's work is fed
@@ -24,8 +24,8 @@
 
 use crate::clock::WallStopwatch;
 use crate::fallback::{AttemptRecord, FallbackChain, TierKind};
-use postcard_core::{Decision, PostcardError, Scheduler};
-use postcard_net::{FileId, Network, TrafficLedger, TransferRequest};
+use postcard_core::{admit, Admission, Decision};
+use postcard_net::{Network, TrafficLedger, TransferRequest};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -60,22 +60,15 @@ pub struct ShardSolve {
     /// Tentative commits: each decision with the files it serves, in
     /// commit order.
     pub commits: Vec<(Vec<TransferRequest>, Decision)>,
-    /// Files admitted, in batch order.
-    pub accepted: Vec<FileId>,
-    /// Files rejected, in batch order.
-    pub rejected: Vec<FileId>,
-    /// Admitted volume (GB).
-    pub accepted_volume: f64,
-    /// Rejected volume (GB).
-    pub rejected_volume: f64,
+    /// The shard's admission verdicts. A hard chain failure
+    /// ([`Admission::failure`]) degrades the shard: its undecided files
+    /// should be requeued, its decided ones stand.
+    pub admission: Admission,
     /// Tier attempts recorded while solving this shard (re-solve attempts
     /// are appended by the reconciler).
     pub records: Vec<AttemptRecord>,
     /// The tier that committed the shard's first decision.
     pub chosen_tier: Option<TierKind>,
-    /// The chain hard-failed; the shard committed nothing and its entries
-    /// should be requeued.
-    pub degraded: bool,
     /// Set by the reconciler when the optimistic solve over-committed a
     /// shared link and the shard was re-solved serially.
     pub conflicted: bool,
@@ -92,13 +85,9 @@ impl ShardSolve {
             shard,
             batch_len: 0,
             commits: Vec::new(),
-            accepted: Vec::new(),
-            rejected: Vec::new(),
-            accepted_volume: 0.0,
-            rejected_volume: 0.0,
+            admission: Admission::default(),
             records: Vec::new(),
             chosen_tier: None,
-            degraded: false,
             conflicted: false,
             diagnostics: Vec::new(),
             wall_seconds: 0.0,
@@ -106,22 +95,9 @@ impl ShardSolve {
     }
 }
 
-/// Applies a tentative decision to the overlay ledger.
-fn apply_overlay(decision: &Decision, files: &[TransferRequest], overlay: &mut TrafficLedger) {
-    match decision {
-        Decision::Plan(plan) => plan.apply_to_ledger(overlay),
-        Decision::Rates(rates) => rates.apply_to_ledger(files, overlay),
-    }
-}
-
-/// Solves one shard's batch against `base`, mirroring
-/// [`postcard_core::OnlineController::step`]'s admission semantics on an
-/// overlay ledger.
-///
-/// On a non-infeasible scheduler error the shard is marked degraded and
-/// commits nothing — unlike the unsharded step, no partial per-file commits
-/// survive, because the overlay is scratch state. The runtime requeues the
-/// whole shard batch, exactly as it requeues a degraded unsharded slot.
+/// Solves one shard's batch against `base` with [`postcard_core::admit`],
+/// the same admission rule [`postcard_core::OnlineController::step`] runs,
+/// on an overlay ledger.
 pub fn solve_shard(
     chain: &mut FallbackChain,
     shard: usize,
@@ -143,47 +119,10 @@ pub fn solve_shard(
     chain.set_skip_alap(directives.skip_alap);
 
     let mut overlay = base.clone();
-    match chain.schedule(network, batch, &overlay) {
-        Ok(decision) => {
-            apply_overlay(&decision, batch, &mut overlay);
-            solve.accepted.extend(batch.iter().map(|f| f.id));
-            solve.accepted_volume = batch.iter().map(|f| f.size_gb).sum();
-            solve.commits.push((batch.to_vec(), decision));
-        }
-        Err(PostcardError::Infeasible) => {
-            // Per-file admission in arrival order, each success committed to
-            // the overlay before the next attempt — the controller's exact
-            // semantics.
-            for f in batch {
-                let single = [*f];
-                match chain.schedule(network, &single, &overlay) {
-                    Ok(decision) => {
-                        apply_overlay(&decision, &single, &mut overlay);
-                        solve.accepted.push(f.id);
-                        solve.accepted_volume += f.size_gb;
-                        solve.commits.push((single.to_vec(), decision));
-                    }
-                    Err(PostcardError::Infeasible) => {
-                        solve.rejected.push(f.id);
-                        solve.rejected_volume += f.size_gb;
-                    }
-                    Err(_) => {
-                        solve.degraded = true;
-                        break;
-                    }
-                }
-            }
-        }
-        Err(_) => solve.degraded = true,
-    }
-    if solve.degraded {
-        // Tentative state is scratch: a degraded shard contributes nothing.
-        solve.commits.clear();
-        solve.accepted.clear();
-        solve.rejected.clear();
-        solve.accepted_volume = 0.0;
-        solve.rejected_volume = 0.0;
-    }
+    let commits = &mut solve.commits;
+    solve.admission = admit(chain, network, batch, &mut overlay, |files, decision| {
+        commits.push((files.to_vec(), decision));
+    });
     solve.records = chain.records().to_vec();
     solve.chosen_tier = chain.chosen_tier();
     solve.wall_seconds = started.elapsed_secs();
@@ -377,9 +316,8 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimClock;
-    use postcard_net::{DcId, NetworkBuilder};
-    use std::time::Duration;
+    use crate::runtime::RuntimeConfig;
+    use postcard_net::{DcId, FileId, NetworkBuilder};
 
     fn d(i: usize) -> DcId {
         DcId(i)
@@ -391,11 +329,7 @@ mod tests {
     }
 
     fn chain() -> FallbackChain {
-        FallbackChain::new(
-            &TierKind::default_chain(),
-            Duration::from_millis(250),
-            Box::new(SimClock::new()),
-        )
+        FallbackChain::new(&RuntimeConfig::default())
     }
 
     #[test]
@@ -417,8 +351,7 @@ mod tests {
             .collect();
         assert_eq!(par.len(), 2);
         for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.accepted, s.accepted);
-            assert_eq!(p.rejected, s.rejected);
+            assert_eq!(p.admission, s.admission);
             assert_eq!(p.commits.len(), s.commits.len());
             for ((pf, pd), (sf, sd)) in p.commits.iter().zip(&s.commits) {
                 assert_eq!(pf, sf);
@@ -440,15 +373,15 @@ mod tests {
         let p0 = pool.solve_parallel(&net, &base, &slot0, &SlotDirectives::plain(0));
         let mut after = base.clone();
         for (files, decision) in &p0[0].commits {
-            apply_overlay(decision, files, &mut after);
+            decision.apply_to_ledger(files, &mut after);
         }
         let p1 = pool.solve_parallel(&net, &after, &slot1, &SlotDirectives::plain(1));
 
         let mut c = chain();
         let s0 = solve_shard(&mut c, 0, &net, &base, &slot0[0], &SlotDirectives::plain(0));
         let s1 = solve_shard(&mut c, 0, &net, &after, &slot1[0], &SlotDirectives::plain(1));
-        assert_eq!(p0[0].accepted, s0.accepted);
-        assert_eq!(p1[0].accepted, s1.accepted);
+        assert_eq!(p0[0].admission.accepted, s0.admission.accepted);
+        assert_eq!(p1[0].admission.accepted, s1.admission.accepted);
         for ((pf, pd), (sf, sd)) in p1[0].commits.iter().zip(&s1.commits) {
             assert_eq!(pf, sf);
             assert_eq!(pd, sd, "second-slot decisions must be bit-identical");
@@ -463,7 +396,7 @@ mod tests {
         let mut pool = WorkerPool::new(vec![chain(), chain()]);
         let solves = pool.solve_parallel(&net, &base, &batches, &SlotDirectives::plain(0));
         assert!(solves.iter().all(|s| s.commits.is_empty() && s.records.is_empty()));
-        assert!(solves.iter().all(|s| !s.degraded));
+        assert!(solves.iter().all(|s| s.admission.failure.is_none()));
     }
 
     #[test]
@@ -473,11 +406,11 @@ mod tests {
         let batch = vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 3, 0)];
         let mut pool = WorkerPool::new(vec![chain(), chain()]);
         let solo = pool.solve_one(0, &net, &base, &batch, &SlotDirectives::plain(0));
-        assert_eq!(solo.accepted, vec![FileId(1)]);
-        assert!(!solo.degraded);
+        assert_eq!(solo.admission.accepted, vec![FileId(1)]);
+        assert!(solo.admission.failure.is_none());
         // The same worker answers subsequent requests.
         let again = pool.solve_one(0, &net, &base, &batch, &SlotDirectives::plain(1));
-        assert_eq!(again.accepted, vec![FileId(1)]);
+        assert_eq!(again.admission.accepted, vec![FileId(1)]);
     }
 
     #[test]
@@ -490,11 +423,11 @@ mod tests {
         ];
         let mut c = chain();
         let solve = solve_shard(&mut c, 0, &net, &base, &batch, &SlotDirectives::plain(0));
-        assert_eq!(solve.rejected, vec![FileId(1)]);
-        assert_eq!(solve.accepted, vec![FileId(2)]);
-        assert_eq!(solve.accepted_volume, 2.0);
-        assert_eq!(solve.rejected_volume, 10.0);
-        assert!(!solve.degraded);
+        assert_eq!(solve.admission.rejected, vec![FileId(1)]);
+        assert_eq!(solve.admission.accepted, vec![FileId(2)]);
+        assert_eq!(solve.admission.accepted_volume, 2.0);
+        assert_eq!(solve.admission.rejected_volume, 10.0);
+        assert!(solve.admission.failure.is_none());
     }
 
     #[test]
@@ -503,13 +436,12 @@ mod tests {
         let net = net();
         let base = TrafficLedger::new(4);
         let batch = vec![TransferRequest::new(FileId(1), DcId(7), d(1), 1.0, 2, 0)];
-        let mut c = FallbackChain::new(
-            &[TierKind::Postcard],
-            Duration::from_millis(250),
-            Box::new(SimClock::new()),
-        );
+        let mut c = FallbackChain::new(&RuntimeConfig {
+            tiers: vec![TierKind::Postcard],
+            ..Default::default()
+        });
         let solve = solve_shard(&mut c, 0, &net, &base, &batch, &SlotDirectives::plain(0));
-        assert!(solve.degraded);
-        assert!(solve.commits.is_empty() && solve.accepted.is_empty());
+        assert!(solve.admission.failure.is_some());
+        assert!(solve.commits.is_empty() && solve.admission.accepted.is_empty());
     }
 }

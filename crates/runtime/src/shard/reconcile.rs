@@ -92,13 +92,6 @@ fn validate_decision(
     }
 }
 
-fn apply_working(decision: &Decision, files: &[TransferRequest], working: &mut TrafficLedger) {
-    match decision {
-        Decision::Plan(plan) => plan.apply_to_ledger(working),
-        Decision::Rates(rates) => rates.apply_to_ledger(files, working),
-    }
-}
-
 /// Merges tentative shard solves in fixed shard order, re-solving shards
 /// whose optimistic plans over-committed shared links. Returns the final
 /// per-shard resolutions (same order); the caller applies the surviving
@@ -114,14 +107,17 @@ pub fn reconcile(
     let mut working = base.clone();
     let mut resolved = Vec::with_capacity(solves.len());
     for mut solve in solves {
-        if solve.degraded {
-            resolved.push(solve);
-            continue;
-        }
+        // Each commit is checked on top of the shard's earlier ones: two
+        // per-file commits can each fit next to the earlier shards' traffic
+        // and still over-commit a link together.
+        let mut merged = working.clone();
         let mut diagnostics = Vec::new();
         let valid = solve.commits.iter().all(|(files, decision)| {
-            match validate_decision(network, &working, files, decision, solve.shard) {
-                Ok(()) => true,
+            match validate_decision(network, &merged, files, decision, solve.shard) {
+                Ok(()) => {
+                    decision.apply_to_ledger(files, &mut merged);
+                    true
+                }
                 Err(mut lines) => {
                     diagnostics.append(&mut lines);
                     false
@@ -129,9 +125,7 @@ pub fn reconcile(
             }
         });
         if valid {
-            for (files, decision) in &solve.commits {
-                apply_working(decision, files, &mut working);
-            }
+            working = merged;
             resolved.push(solve);
             continue;
         }
@@ -143,24 +137,19 @@ pub fn reconcile(
         let shard = solve.shard;
         let resolve = pool.solve_one(shard, network, &working, &batches[shard], directives);
         debug_assert!(
-            resolve.degraded
-                || resolve.commits.iter().all(|(files, decision)| validate_decision(
-                    network, &working, files, decision, shard
-                )
-                .is_ok()),
+            resolve.commits.iter().all(|(files, decision)| validate_decision(
+                network, &working, files, decision, shard
+            )
+            .is_ok()),
             "a re-solve against the working ledger must validate against it"
         );
         for (files, decision) in &resolve.commits {
-            apply_working(decision, files, &mut working);
+            decision.apply_to_ledger(files, &mut working);
         }
         solve.commits = resolve.commits;
-        solve.accepted = resolve.accepted;
-        solve.rejected = resolve.rejected;
-        solve.accepted_volume = resolve.accepted_volume;
-        solve.rejected_volume = resolve.rejected_volume;
+        solve.admission = resolve.admission;
         solve.records = resolve.records;
         solve.chosen_tier = resolve.chosen_tier;
-        solve.degraded = resolve.degraded;
         solve.wall_seconds += resolve.wall_seconds;
         solve.conflicted = true;
         solve.diagnostics = diagnostics;
@@ -172,21 +161,17 @@ pub fn reconcile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimClock;
-    use crate::fallback::{FallbackChain, TierKind};
+    use crate::fallback::FallbackChain;
+    use crate::runtime::RuntimeConfig;
     use postcard_net::{DcId, FileId, NetworkBuilder};
-    use std::time::Duration;
 
     fn d(i: usize) -> DcId {
         DcId(i)
     }
 
-    fn chain(tiers: &[TierKind]) -> FallbackChain {
-        FallbackChain::new(tiers, Duration::from_millis(250), Box::new(SimClock::new()))
-    }
-
     fn two_shard_pool() -> WorkerPool {
-        WorkerPool::new(vec![chain(&TierKind::default_chain()), chain(&TierKind::default_chain())])
+        let config = RuntimeConfig::default();
+        WorkerPool::new(vec![FallbackChain::new(&config), FallbackChain::new(&config)])
     }
 
     #[test]
@@ -204,9 +189,9 @@ mod tests {
         let solves = pool.solve_parallel(&net, &base, &batches, &pool::SlotDirectives::plain(0));
         let resolved =
             reconcile(&net, &base, solves, &mut pool, &batches, &pool::SlotDirectives::plain(0));
-        assert!(resolved.iter().all(|s| !s.conflicted && !s.degraded));
-        assert_eq!(resolved[0].accepted, vec![FileId(1)]);
-        assert_eq!(resolved[1].accepted, vec![FileId(2)]);
+        assert!(resolved.iter().all(|s| !s.conflicted && s.admission.failure.is_none()));
+        assert_eq!(resolved[0].admission.accepted, vec![FileId(1)]);
+        assert_eq!(resolved[1].admission.accepted, vec![FileId(2)]);
     }
 
     #[test]
@@ -221,16 +206,16 @@ mod tests {
         let mut pool = two_shard_pool();
         let solves = pool.solve_parallel(&net, &base, &batches, &pool::SlotDirectives::plain(0));
         // Both optimistic solves admit their file (each saw an empty link).
-        assert_eq!(solves[0].accepted, vec![FileId(1)]);
-        assert_eq!(solves[1].accepted, vec![FileId(2)]);
+        assert_eq!(solves[0].admission.accepted, vec![FileId(1)]);
+        assert_eq!(solves[1].admission.accepted, vec![FileId(2)]);
         let resolved =
             reconcile(&net, &base, solves, &mut pool, &batches, &pool::SlotDirectives::plain(0));
         // Shard 0 keeps its plan; shard 1's re-solve finds no room and
         // rejects — the merged view never over-commits the link.
         assert!(!resolved[0].conflicted);
         assert!(resolved[1].conflicted);
-        assert_eq!(resolved[0].accepted, vec![FileId(1)]);
-        assert_eq!(resolved[1].rejected, vec![FileId(2)]);
+        assert_eq!(resolved[0].admission.accepted, vec![FileId(1)]);
+        assert_eq!(resolved[1].admission.rejected, vec![FileId(2)]);
         assert!(resolved[1].commits.is_empty());
         assert!(
             resolved[1].diagnostics.iter().any(|l| l.contains("over-committed")),
@@ -241,7 +226,7 @@ mod tests {
         let mut ledger = base.clone();
         for s in &resolved {
             for (files, decision) in &s.commits {
-                apply_working(decision, files, &mut ledger);
+                decision.apply_to_ledger(files, &mut ledger);
             }
         }
         assert!(ledger.volume(d(0), d(1), 0) <= 10.0 + 1e-9);
@@ -261,8 +246,39 @@ mod tests {
         let solves = pool.solve_parallel(&net, &base, &batches, &pool::SlotDirectives::plain(0));
         let resolved =
             reconcile(&net, &base, solves, &mut pool, &batches, &pool::SlotDirectives::plain(0));
-        assert_eq!(resolved[0].accepted, vec![FileId(1)]);
+        assert_eq!(resolved[0].admission.accepted, vec![FileId(1)]);
         assert!(resolved[1].conflicted);
-        assert_eq!(resolved[1].rejected, vec![FileId(2)]);
+        assert_eq!(resolved[1].admission.rejected, vec![FileId(2)]);
+    }
+
+    #[test]
+    fn per_file_commits_are_validated_on_top_of_each_other() {
+        // Capacity 10. Shard 0 takes 5 GB. Shard 1's batch is infeasible as
+        // a whole (file 4 can never fit), so it admits files 2 and 3 one by
+        // one: each fits next to shard 0's traffic alone, but not both.
+        let net = NetworkBuilder::new(2).link(d(0), d(1), 1.0, 10.0).build();
+        let base = TrafficLedger::new(2);
+        let batches = vec![
+            vec![TransferRequest::new(FileId(1), d(0), d(1), 5.0, 1, 0)],
+            vec![
+                TransferRequest::new(FileId(2), d(0), d(1), 5.0, 1, 0),
+                TransferRequest::new(FileId(3), d(0), d(1), 5.0, 1, 0),
+                TransferRequest::new(FileId(4), d(0), d(1), 100.0, 1, 0),
+            ],
+        ];
+        let mut pool = two_shard_pool();
+        let solves = pool.solve_parallel(&net, &base, &batches, &pool::SlotDirectives::plain(0));
+        assert_eq!(solves[1].commits.len(), 2);
+        let resolved =
+            reconcile(&net, &base, solves, &mut pool, &batches, &pool::SlotDirectives::plain(0));
+        let mut ledger = base.clone();
+        for s in &resolved {
+            for (files, decision) in &s.commits {
+                decision.apply_to_ledger(files, &mut ledger);
+            }
+        }
+        assert!(resolved[1].conflicted);
+        assert_eq!(resolved[1].admission.accepted, vec![FileId(2)]);
+        assert!(ledger.volume(d(0), d(1), 0) <= 10.0 + 1e-9);
     }
 }

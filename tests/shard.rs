@@ -17,11 +17,12 @@
 //! regardless of worker scheduling) is exercised both directly and as a
 //! byproduct of the bit-exact comparisons in the other tests.
 
+use postcard::net::{ChargingScheme, Network};
 use postcard::net::{DcId, FileId, NetworkBuilder, TransferRequest};
 use postcard::runtime::{
     ArrivalSchedule, FaultPlan, Runtime, RuntimeConfig, RuntimeSnapshot, ShardBy,
 };
-use postcard::sim::{trace_to_arrivals, TenantScenario};
+use postcard::sim::{trace_to_arrivals, TenantScenario, Trace, UniformWorkload, WorkloadConfig};
 use proptest::prelude::*;
 
 fn ckpt_path(name: &str) -> std::path::PathBuf {
@@ -117,6 +118,61 @@ proptest! {
         }
         prop_assert_eq!(a.controller().export_state(), b.controller().export_state());
         prop_assert_eq!(a.metrics().to_json(), b.metrics().to_json());
+    }
+}
+
+/// The metrics export without the shard-only lines (`shard_conflicts`,
+/// `degraded_shards`).
+fn metrics_without_shard_keys(rt: &Runtime) -> String {
+    rt.metrics().to_json().lines().filter(|l| !l.contains("shard")).collect::<Vec<_>>().join("\n")
+}
+
+#[test]
+fn one_occupied_shard_accounts_like_an_unsharded_run() {
+    // Every file belongs to tenant 0, so a 2-shard tenant-keyed run solves
+    // the whole batch on shard 0 and leaves shard 1 idle. Both slot paths
+    // must then admit, bill and account identically, under every rung mix.
+    let configs = [
+        RuntimeConfig::default(),
+        RuntimeConfig { alap: true, reopt_every: 4, ..Default::default() },
+        RuntimeConfig {
+            charging: ChargingScheme::Percentile { q: 80.0, window_slots: 10 },
+            ..Default::default()
+        },
+        RuntimeConfig { warm_start: true, incremental: true, ..Default::default() },
+    ];
+    for seed in 0..3u64 {
+        let network = Network::complete_with_prices(5, 40.0, |i, j| {
+            1.0 + ((i.index() * 7 + j.index() * 3 + seed as usize) % 9) as f64
+        });
+        let workload = WorkloadConfig {
+            num_dcs: 5,
+            files_per_slot: (2, 8),
+            size_gb: (10.0, 100.0),
+            deadline_slots: (1, 4),
+        };
+        let trace = Trace::generate(&mut UniformWorkload::new(workload, seed), 12);
+        let arrivals = trace_to_arrivals(&trace);
+        for config in &configs {
+            let unsharded = run_runtime(network.clone(), arrivals.clone(), 12, config.clone());
+            let sharded = run_runtime(
+                network.clone(),
+                arrivals.clone(),
+                12,
+                RuntimeConfig { shards: 2, shard_by: ShardBy::Tenant, ..config.clone() },
+            );
+            let what = format!("seed {seed}, config {config:?}");
+            let (accepted, rejected) = unsharded.controller().admission_counts();
+            assert!(accepted > 0 && rejected > 0, "{what}: admission path not exercised");
+            assert_eq!(
+                metrics_without_shard_keys(&sharded),
+                metrics_without_shard_keys(&unsharded)
+            );
+            let bits =
+                |rt: &Runtime| rt.cost_history().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sharded), bits(&unsharded), "{what}: bill history");
+            assert_eq!(sharded.shard_states().map(|s| s[1].stamp), Some(0), "{what}: shard 1 ran");
+        }
     }
 }
 
